@@ -475,7 +475,6 @@ class TCM:
                 break
             count += self.ingest_chunk(chunk)
         if OBS.enabled:
-            OBS.tcm_ingest_elements.inc(count)
             OBS.tcm_ingest_seconds.observe(time.perf_counter() - start)
         return count
 
@@ -529,6 +528,7 @@ class TCM:
                     sketch.update_many(source_keys, target_keys, weights)
         if OBS.enabled:
             OBS.tcm_ingest_chunks.inc()
+            OBS.tcm_ingest_elements.inc(n)
         return n
 
     def ingest_keys(self, source_keys: np.ndarray,

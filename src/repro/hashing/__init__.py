@@ -12,9 +12,11 @@ provides:
   ``h(x) = ((a*x + b) mod p) mod w`` over the Mersenne prime ``p = 2^61-1``.
 - :class:`HashFamily`: ``d`` independent :class:`PairwiseHash` instances
   drawn from a seeded RNG, as used by the TCM ensemble.
-- :func:`label_key` / :func:`label_keys`: the interning-cached scalar and
-  bulk converters the batched ingest/query kernels go through, so each
-  distinct string label is FNV-hashed exactly once per process.
+- :func:`label_key` / :func:`label_keys`: the scalar and bulk converters
+  the batched ingest/query kernels go through.  Large string/bytes
+  columns are FNV-hashed in one vectorized pass; single labels and small
+  columns go through an interning cache, so a repeated label costs one
+  dict probe.
 """
 
 from repro.hashing.labels import (

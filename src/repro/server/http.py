@@ -186,7 +186,7 @@ def _parse_labels(body: Dict, field: str) -> np.ndarray:
         raise _HTTPError(400, f"'{field}' must be a list")
     try:
         return label_keys(values)
-    except TypeError as exc:
+    except (TypeError, UnicodeEncodeError) as exc:
         raise _HTTPError(400, f"bad label in '{field}': {exc}")
 
 
@@ -699,7 +699,7 @@ class SketchServer:
                 try:
                     payload = [(label_key(s), label_key(t))
                                for s, t in pairs]
-                except TypeError as exc:
+                except (TypeError, UnicodeEncodeError) as exc:
                     raise _HTTPError(400, f"bad label in 'pairs': {exc}")
             elif shape == "nodes":
                 nodes = body.get("nodes")
@@ -708,7 +708,7 @@ class SketchServer:
                         400, f"{kind} queries need 'nodes': [node, ...]")
                 try:
                     payload = [label_key(node) for node in nodes]
-                except TypeError as exc:
+                except (TypeError, UnicodeEncodeError) as exc:
                     raise _HTTPError(400, f"bad label in 'nodes': {exc}")
             else:
                 payload = []

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hashing.labels import (
-    LABEL_CACHE_LIMIT, clear_label_cache, fnv1a_64, label_cache_info,
-    label_cache_limit, label_key, label_keys, label_to_int,
+    LABEL_CACHE_LIMIT, VECTORIZE_MIN_LABELS, clear_label_cache, fnv1a_64,
+    label_cache_info, label_cache_limit, label_key, label_keys, label_to_int,
     set_label_cache_limit)
 
 
@@ -200,3 +202,97 @@ class TestBoundedCache:
         assert label_cache_info()["evictions"] > 0
         clear_label_cache()
         assert label_cache_info()["evictions"] == 0
+
+
+#: Column sizes on both sides of the vectorized-pass threshold.
+SIZES = [1, 7, VECTORIZE_MIN_LABELS - 1, VECTORIZE_MIN_LABELS,
+         VECTORIZE_MIN_LABELS + 37, 4 * VECTORIZE_MIN_LABELS]
+
+_NUL_EDGES = st.sampled_from(["", "\x00", "a\x00", "\x00b", "a\x00b",
+                              "\x00\x00", "nöde\x00"])
+_LONG_TEXT = st.builds(lambda unit, k: unit * k,
+                       st.text(min_size=1, max_size=4),
+                       st.integers(200, 3000))
+_TEXT = st.one_of(st.text(), st.text(alphabet="0123456789."), _NUL_EDGES,
+                  _LONG_TEXT)
+_BINARY = st.one_of(st.binary(), st.sampled_from([b"", b"\x00", b"a\x00"]),
+                    st.builds(lambda unit, k: unit * k,
+                              st.binary(min_size=1, max_size=4),
+                              st.integers(200, 3000)))
+
+
+@st.composite
+def columns(draw, labels):
+    """A column of one of ``SIZES`` labels drawn, with repeats, from a pool."""
+    pool = draw(st.lists(labels, min_size=1, max_size=24))
+    n = draw(st.sampled_from(SIZES))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    picks = np.random.default_rng(seed).integers(0, len(pool), n)
+    return pool, picks
+
+
+def _check_column(pool, picks):
+    column = [pool[i] for i in picks.tolist()]
+    # The scalar reference per distinct label; the column repeats them.
+    reference = [label_to_int(label) for label in pool]
+    keys = label_keys(column)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [reference[i] for i in picks.tolist()]
+
+
+class TestVectorizedColumns:
+    """label_keys == [label_to_int(x) ...] on both sides of the threshold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns(_TEXT))
+    def test_text_columns_match_scalar(self, drawn):
+        _check_column(*drawn)
+
+    @settings(max_examples=40, deadline=None)
+    @given(columns(_BINARY))
+    def test_bytes_columns_match_scalar(self, drawn):
+        _check_column(*drawn)
+
+    def test_long_tail_label_continues_its_hash(self):
+        # Far longer than the rest: finishes in the scalar loop from the
+        # vectorized pass's running state.
+        column = ["a"] * VECTORIZE_MIN_LABELS + ["z" * 70_000, "é" * 9000]
+        assert label_keys(column).tolist() == [
+            label_to_int(label) for label in column]
+
+    @pytest.mark.parametrize("bad", [None, True, 1.5, "\ud800",
+                                     "ok\udfffok", bytearray(b"x"), b"raw"])
+    @pytest.mark.parametrize("n", [7, VECTORIZE_MIN_LABELS,
+                                   4 * VECTORIZE_MIN_LABELS])
+    def test_bad_label_raises_the_scalar_error(self, bad, n):
+        try:
+            label_to_int(bad)
+            # A bytes label in a str column is valid, just mixed.
+            expected = None
+        except (TypeError, UnicodeEncodeError) as exc:
+            expected = type(exc)
+        column = [f"host-{i}" for i in range(n)]
+        column[n // 2] = bad
+        if expected is None:
+            assert label_keys(column).tolist() == [
+                label_to_int(label) for label in column]
+        else:
+            with pytest.raises(expected):
+                label_keys(column)
+
+    def test_bytes_column_with_bytearray_rejected(self):
+        column = [b"raw-%d" % i for i in range(VECTORIZE_MIN_LABELS)]
+        column[-1] = bytearray(b"x")
+        with pytest.raises(TypeError, match="bytearray"):
+            label_keys(column)
+
+    def test_large_columns_bypass_the_cache(self):
+        clear_label_cache()
+        column = [f"n{i % 97}" for i in range(VECTORIZE_MIN_LABELS)]
+        label_keys(column)
+        info = label_cache_info()
+        assert (info["hits"], info["misses"], info["size"]) == (0, 0, 0)
+        label_keys(column[:VECTORIZE_MIN_LABELS - 1])
+        info = label_cache_info()
+        assert info["misses"] == 97
+        assert info["hits"] == VECTORIZE_MIN_LABELS - 1 - 97

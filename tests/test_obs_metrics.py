@@ -219,6 +219,27 @@ class TestNoOpFastPath:
         assert obs.OBS.tcm_ingest_elements.value == len(small_directed)
         assert obs.OBS.tcm_ingest_seconds.count == 1
 
+    @pytest.mark.parametrize("entry", ["ingest", "ingest_chunk",
+                                       "ingest_columns", "ingest_keys",
+                                       "ingest_conservative"])
+    def test_every_column_entry_point_counts_elements(
+            self, small_directed, entry):
+        from repro.hashing.labels import label_keys
+        edges = list(small_directed)
+        tcm = TCM(d=2, width=16, seed=1)
+        obs.enable()
+        if entry in ("ingest", "ingest_conservative"):
+            getattr(tcm, entry)(edges, chunk_size=2)
+        elif entry == "ingest_chunk":
+            tcm.ingest_chunk(edges)
+        else:
+            sources = [e.source for e in edges]
+            targets = [e.target for e in edges]
+            if entry == "ingest_keys":
+                sources, targets = label_keys(sources), label_keys(targets)
+            getattr(tcm, entry)(sources, targets)
+        assert obs.OBS.tcm_ingest_elements.value == len(edges)
+
     def test_snapshot_roundtrip(self):
         import json
         obs.enable()

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.tcm import TCM
+from repro.hashing.labels import VECTORIZE_MIN_LABELS
 from repro.server import (
     IngestCoalescer,
     QueryCoalescer,
@@ -679,6 +680,149 @@ class TestMultiTenantConcurrency:
         batched = run_async(_with_server(scenario))
         unbatched = run_async(_with_server(scenario, batching=False))
         assert batched == unbatched
+
+
+def _matrices(sketch):
+    """Every cell matrix of a TCM or a RotatingWindowTCM's sub-sketches."""
+    owners = sketch._ring if hasattr(sketch, "_ring") else [sketch]
+    return [np.array(s.matrix) for owner in owners for s in owner.sketches]
+
+
+class TestLargeLabelColumns:
+    """JSON columns past the vectorized-hashing threshold.
+
+    Served state must equal a per-label in-process oracle bit for bit,
+    and a bad label anywhere in a large column must be a 400 that leaves
+    the tenant untouched.
+    """
+
+    N = 2 * VECTORIZE_MIN_LABELS + 3
+    CONFIG = {"d": 3, "width": 64, "seed": 17}
+    WINDOW = {"horizon": 100.0, "buckets": 4}
+
+    def _column(self, rng):
+        hosts = [f"10.{i >> 16}.{(i >> 8) & 255}.{i & 255}"
+                 for i in rng.integers(0, 1 << 24, 300).tolist()]
+        hosts += ["", "nöde-☃", "𝄞" * 40]
+        return [hosts[i] for i in rng.integers(0, len(hosts), self.N)]
+
+    def test_ingest_and_remove_match_per_label_oracle(self):
+        from repro.streams.rotating import RotatingWindowTCM
+        rng = np.random.default_rng(23)
+        sources, targets = self._column(rng), self._column(rng)
+        weights = rng.integers(1, 8, self.N).astype(float).tolist()
+        timestamps = np.sort(rng.uniform(0.0, 60.0, self.N)).tolist()
+        gone = slice(0, VECTORIZE_MIN_LABELS + 1)
+
+        async def scenario(client, server, port):
+            await client.call("PUT", "/sketches/t",
+                              dict(self.CONFIG, kind="tcm"))
+            await client.call("PUT", "/sketches/w",
+                              dict(self.CONFIG, kind="window",
+                                   **self.WINDOW))
+            status, body = await client.call(
+                "POST", "/sketches/t/ingest",
+                {"sources": sources, "targets": targets,
+                 "weights": weights})
+            assert status == 200 and body["ingested"] == self.N
+            status, body = await client.call(
+                "POST", "/sketches/t/remove",
+                {"sources": sources[gone], "targets": targets[gone],
+                 "weights": weights[gone]})
+            assert status == 200
+            assert body["removed"] == VECTORIZE_MIN_LABELS + 1
+            status, body = await client.call(
+                "POST", "/sketches/w/ingest",
+                {"sources": sources, "targets": targets,
+                 "weights": weights, "timestamps": timestamps})
+            assert status == 200 and body["ingested"] == self.N
+            server.registry.get("t").drain()
+            server.registry.get("w").drain()
+            return (_matrices(server.registry.get("t").sketch),
+                    _matrices(server.registry.get("w").sketch))
+
+        served_tcm, served_window = run_async(_with_server(scenario))
+        tcm = TCM(**self.CONFIG)
+        window = RotatingWindowTCM(**self.WINDOW, **self.CONFIG)
+        for s, t, w, ts in zip(sources, targets, weights, timestamps):
+            tcm.update(s, t, w)
+            window.observe(s, t, w, ts)
+        for s, t, w in zip(sources[gone], targets[gone], weights[gone]):
+            tcm.remove(s, t, w)
+        for got, want in zip(served_tcm, _matrices(tcm)):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(served_window, _matrices(window)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [True, 1.5, "\ud800"])
+    @pytest.mark.parametrize("field", ["sources", "targets"])
+    def test_bad_label_in_large_column_is_400_and_applies_nothing(
+            self, bad, field):
+        rng = np.random.default_rng(29)
+        good = {"sources": self._column(rng), "targets": self._column(rng)}
+
+        async def scenario(client, server, port):
+            for name, kind in (("t", "tcm"), ("w", "window")):
+                config = dict(self.CONFIG, kind=kind)
+                if kind == "window":
+                    config.update(self.WINDOW)
+                await client.call("PUT", f"/sketches/{name}", config)
+                status, _ = await client.call(
+                    "POST", f"/sketches/{name}/ingest", good)
+                assert status == 200
+                server.registry.get(name).drain()
+                before = _matrices(server.registry.get(name).sketch)
+                body = dict(good)
+                body[field] = list(good[field])
+                body[field][self.N // 2] = bad
+                actions = ["ingest", "remove"] if kind == "tcm" \
+                    else ["ingest"]
+                for action in actions:
+                    status, reply = await client.call(
+                        "POST", f"/sketches/{name}/{action}", body)
+                    assert status == 400, (action, reply)
+                    assert f"'{field}'" in reply["error"]
+                server.registry.get(name).drain()
+                after = _matrices(server.registry.get(name).sketch)
+                for got, want in zip(after, before):
+                    np.testing.assert_array_equal(got, want)
+            status, reply = await client.call(
+                "POST", "/sketches/t/query",
+                {"kind": "edge", "pairs": [["a", bad]]})
+            assert status == 400 and "'pairs'" in reply["error"]
+
+        run_async(_with_server(scenario))
+
+    def test_one_huge_label_hashes_without_a_huge_allocation(self):
+        import tracemalloc
+        huge = "h" * (1 << 20)
+        sources = [f"s{i % 50}" for i in range(VECTORIZE_MIN_LABELS)]
+        targets = [f"t{i % 70}" for i in range(VECTORIZE_MIN_LABELS)]
+        sources[7] = huge
+
+        async def scenario(client, server, port):
+            await client.call("PUT", "/sketches/t",
+                              dict(self.CONFIG, kind="tcm"))
+            tracemalloc.start()
+            try:
+                status, body = await client.call(
+                    "POST", "/sketches/t/ingest",
+                    {"sources": sources, "targets": targets})
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert status == 200
+            server.registry.get("t").drain()
+            return peak, _matrices(server.registry.get("t").sketch)
+
+        peak, served = run_async(_with_server(scenario))
+        # A padded (labels x longest label) byte matrix would be 512 MiB.
+        assert peak < 64 << 20, peak
+        tcm = TCM(**self.CONFIG)
+        for s, t in zip(sources, targets):
+            tcm.update(s, t)
+        for got, want in zip(served, _matrices(tcm)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestLoadgen:
