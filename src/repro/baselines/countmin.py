@@ -77,10 +77,10 @@ class CountMinSketch:
         """Vectorized bulk update of pre-converted integer keys.
 
         Routed through the active scatter kernel (see
-        :mod:`repro.core.kernels`): each row takes one buffered
-        bincount scatter, bit-identical to per-element :meth:`update`,
-        and duplicate keys are hashed once per chunk rather than once
-        per row.
+        :mod:`repro.core.kernels`): each row takes one in-order
+        scatter-add, bit-identical to per-element :meth:`update`, and
+        duplicate keys are hashed once per chunk rather than once per
+        row.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         weights = np.asarray(weights, dtype=np.float64)

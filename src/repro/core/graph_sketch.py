@@ -31,6 +31,14 @@ from repro.hashing.labels import Label, label_to_int
 from repro.hashing.labels import label_keys as _label_keys
 
 
+def _scatter_backend(matrix: np.ndarray) -> "_kernels.KernelBackend":
+    """The active kernel backend; numpy for non-float64 matrices, since
+    the jitted kernels are compiled and verified for float64 only."""
+    if matrix.dtype == np.float64:
+        return _kernels.get_backend()
+    return _kernels.get_backend("numpy")
+
+
 class GraphSketch:
     """One hashed adjacency matrix over bucketed nodes.
 
@@ -180,8 +188,9 @@ class GraphSketch:
         Implements strategy C2 of Section 5.1.1 for sum (and the analogous
         rules for the other aggregations).
         """
-        if weight < 0:
-            raise ValueError(f"stream weights must be non-negative, got {weight}")
+        if not 0 <= weight < np.inf:
+            raise ValueError(
+                f"stream weights must be finite and non-negative, got {weight}")
         r, c = self._buckets(source, target)
         self._epoch += 1
         self._apply(r, c, weight)
@@ -231,9 +240,10 @@ class GraphSketch:
         if not self.aggregation.invertible:
             raise ValueError(
                 f"{self.aggregation.value} aggregation does not support deletion")
-        if weight < 0:
+        if not 0 <= weight < np.inf:
             # A negative deletion would be an insertion in disguise.
-            raise ValueError(f"removal weights must be non-negative, got {weight}")
+            raise ValueError(
+                f"removal weights must be finite and non-negative, got {weight}")
         r, c = self._buckets(source, target)
         delta = weight if self.aggregation is Aggregation.SUM else 1
         self._epoch += 1
@@ -244,7 +254,7 @@ class GraphSketch:
         """Vectorized bulk deletion of pre-converted integer label keys.
 
         The expiry counterpart of :meth:`update_many` and the kernel the
-        sliding-window fast path drives: one buffered scatter (see
+        sliding-window fast path drives: one scatter (see
         :mod:`repro.core.kernels`) deletes a whole batch of previously
         inserted elements.  Deletion is bit-identical to the scalar path
         for sum (the kernel replays the batch's subtractions in stream
@@ -259,9 +269,7 @@ class GraphSketch:
         source_keys = np.asarray(source_keys, dtype=np.uint64)
         target_keys = np.asarray(target_keys, dtype=np.uint64)
         weights = np.asarray(weights, dtype=self._matrix.dtype)
-        if weights.size and (weights < 0).any():
-            bad = float(weights[weights < 0][0])
-            raise ValueError(f"removal weights must be non-negative, got {bad}")
+        _kernels.check_weights(weights, "removal")
         if len(source_keys) == 0:
             return
         if not self.directed:
@@ -281,12 +289,12 @@ class GraphSketch:
         """Vectorized bulk ingest of pre-converted integer label keys.
 
         Bit-identical to calling :meth:`update` once per element, for every
-        aggregation: sum/count go through the active backend's buffered
+        aggregation: sum/count go through the active backend's
         scatter-add (see :mod:`repro.core.kernels` -- the kernel folds
         each cell's additions in stream order, so float rounding matches
-        the scalar path exactly), min/max through its sort-based segment
-        extreme (min/max of the same floats is one of the inputs, so no
-        rounding is involved at all).
+        the scalar path exactly), min/max through its segment extreme
+        (min/max of the same floats is one of the inputs, and ties keep
+        the earliest value, as the scalar path does).
 
         Extended sketches (``keep_labels=True``) additionally need the
         original label objects to materialize per-bucket label sets; pass
@@ -298,9 +306,7 @@ class GraphSketch:
         source_keys = np.asarray(source_keys, dtype=np.uint64)
         target_keys = np.asarray(target_keys, dtype=np.uint64)
         weights = np.asarray(weights, dtype=self._matrix.dtype)
-        if weights.size and (weights < 0).any():
-            bad = float(weights[weights < 0][0])
-            raise ValueError(f"stream weights must be non-negative, got {bad}")
+        _kernels.check_weights(weights)
         if self._row_labels is not None and (source_labels is None
                                              or target_labels is None):
             raise ValueError(
@@ -329,18 +335,14 @@ class GraphSketch:
         """Dispatch one pre-hashed batch to the active scatter kernel.
 
         ``weights is None`` means unit weights (count aggregation, or an
-        unweighted sum), which lets the backend take its pure-count fast
-        path.  Callers bump the epoch and validate; this only mutates the
-        matrix.  Non-float64 matrices keep the legacy unbuffered ufunc
-        scatter -- the bincount kernels accumulate in float64 and would
-        round differently on narrower dtypes.
+        unweighted sum).  Callers bump the epoch and validate; this only
+        mutates the matrix.  Every kernel folds a cell's updates in
+        stream order in the matrix's own dtype, so the result is
+        bit-identical to the per-element :meth:`update` loop.
         """
         agg = self.aggregation
         matrix = self._matrix
-        if matrix.dtype != np.float64:
-            self._scatter_legacy(rows, cols, weights, insert)
-            return
-        backend = _kernels.get_backend()
+        backend = _scatter_backend(matrix)
         if agg is Aggregation.SUM or agg is Aggregation.COUNT:
             values = weights if agg is Aggregation.SUM else None
             if insert:
@@ -350,32 +352,6 @@ class GraphSketch:
         else:
             backend.scatter_extreme(matrix, self._touched, rows, cols,
                                     weights, agg is Aggregation.MIN)
-
-    def _scatter_legacy(self, rows: np.ndarray, cols: np.ndarray,
-                        weights: Optional[np.ndarray], insert: bool) -> None:
-        """Unbuffered ufunc.at scatter for non-float64 matrices."""
-        if self.aggregation in (Aggregation.SUM, Aggregation.COUNT):
-            values = (weights if self.aggregation is Aggregation.SUM
-                      else np.ones(len(rows), dtype=self._matrix.dtype))
-            if insert:
-                np.add.at(self._matrix, (rows, cols), values)
-            else:
-                np.subtract.at(self._matrix, (rows, cols), values)
-        else:
-            # Cells first touched in this chunk start from the min/max
-            # identity so the unbuffered ufunc leaves exactly the chunk's
-            # extreme there -- the same value the scalar path's
-            # "untouched -> overwrite" branch produces.
-            identity = (np.inf if self.aggregation is Aggregation.MIN
-                        else -np.inf)
-            fresh = ~self._touched[rows, cols]
-            if fresh.any():
-                self._matrix[rows[fresh], cols[fresh]] = identity
-            if self.aggregation is Aggregation.MIN:
-                np.minimum.at(self._matrix, (rows, cols), weights)
-            else:
-                np.maximum.at(self._matrix, (rows, cols), weights)
-            self._touched[rows, cols] = True
 
     def _apply_keys_fused(self, backend: "_kernels.KernelBackend",
                           source_keys: np.ndarray, target_keys: np.ndarray,
@@ -448,11 +424,8 @@ class GraphSketch:
         cols = self._col_hash.hash_many(target_keys)
         self._epoch += 1
         floors = np.asarray(floors, dtype=self._matrix.dtype)
-        if self._matrix.dtype == np.float64:
-            _kernels.get_backend().scatter_floor(self._matrix, rows, cols,
-                                                 floors)
-        else:
-            np.maximum.at(self._matrix, (rows, cols), floors)
+        _scatter_backend(self._matrix).scatter_floor(self._matrix, rows,
+                                                     cols, floors)
 
     # -- point estimates -----------------------------------------------------
 

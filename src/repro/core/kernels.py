@@ -8,9 +8,12 @@ This module implements those primitives once, behind a tiny backend
 registry, so the sketches stay storage/aggregation logic and the hot
 arithmetic can be swapped wholesale:
 
-- ``numpy``   -- pure-numpy kernels built on flat-index ``np.bincount``
-  (a buffered scatter, several times faster than the unbuffered
-  ``np.add.at``) and sort-based ``reduceat`` segment reduction.
+- ``numpy``   -- the in-order ``ufunc.at`` ufuncs (``np.add.at``,
+  ``np.subtract.at``, ``np.minimum.at``, ``np.maximum.at``) over flat
+  cell indices.  Since numpy 1.25 these take a fast path for 1-D
+  integer indices and run at a few ns per element, well ahead of any
+  bincount- or sort-based reduction at service batch sizes; older
+  numpy stays correct but is ~40x slower (hence ``numpy>=1.25``).
 - ``numba``   -- optional jitted kernels: per-element scatter loops plus
   a *fused* path that goes key -> Mersenne hash -> flat index -> cell in
   a single compiled pass with no intermediate arrays.  Only offered when
@@ -22,19 +25,18 @@ Select a backend with :func:`set_backend`, per-call via
 or ``tcm ingest --kernel``.
 
 **Exactness contract.**  All backends produce *bit-identical* state to
-the per-element scalar loop, for arbitrary float weights:
+the per-element scalar loop, for any non-NaN values:
 
-- scatter-add seeds each touched cell's accumulator with the cell's
-  current value and then folds the batch's weights in stream order, so a
-  cell ends at ``((m + w1) + w2) ...`` exactly like repeated ``+=``
-  (``np.bincount`` accumulates its input sequentially; the numba loop is
-  literally repeated ``+=``).  Deletion passes negated weights --
-  ``m + (-w)`` is IEEE-identical to ``m - w``.
-- segment extremes return one of their inputs, so no rounding exists.
-- the unit-weight fast path (``np.bincount`` without weights) is only
-  taken when every cell stays far below 2**53, where integer-valued
-  float addition is associative; otherwise it falls back to the seeded
-  path.
+- ``ufunc.at`` applies its elements one at a time in index order, so a
+  cell ends at ``((m + w1) + w2) ...`` exactly like repeated ``+=`` (and
+  ``((m - w1) - w2) ...`` for deletion), in the matrix's own dtype, at
+  any magnitude.
+- min/max return one of their inputs, so only ties could tell the paths
+  apart, and only signed zeros make a tie visible.  The scalar loop
+  keeps the value it already holds on a tie, while ``np.minimum.at``
+  takes the incoming one; the numpy kernels therefore fold the batch in
+  reverse and then re-fold each touched cell's prior value, so the
+  earliest of the tied values wins, as in the loop.
 """
 
 from __future__ import annotations
@@ -47,31 +49,13 @@ import numpy as np
 
 __all__ = [
     "available_backends", "get_backend", "set_backend", "active_backend",
-    "use_backend", "resolve_backend", "reset", "dedup_keys",
+    "use_backend", "resolve_backend", "reset", "dedup_keys", "check_weights",
     "KernelBackend", "NumpyKernels", "NumbaKernels",
 ]
-
-#: Cells must stay below this for the unit-weight count fast path to be
-#: exact (integer-valued float64 addition is associative below 2**53).
-_EXACT_COUNT_LIMIT = float(2 ** 52)
 
 #: Batches smaller than this skip the per-chunk key dedup (the sort
 #: costs more than the duplicate hashing it saves).
 _DEDUP_MIN_BATCH = 2048
-
-_ARANGE_CACHE: Dict[int, np.ndarray] = {}
-
-
-def _arange(size: int) -> np.ndarray:
-    """Cached ``np.arange(size)`` -- the seed indices of a dense scatter."""
-    cached = _ARANGE_CACHE.get(size)
-    if cached is None:
-        if len(_ARANGE_CACHE) >= 32:
-            _ARANGE_CACHE.clear()
-        cached = np.arange(size, dtype=np.int64)
-        _ARANGE_CACHE[size] = cached
-    return cached
-
 
 _DEDUP_PROBE = 512
 
@@ -114,6 +98,19 @@ def dedup_keys(keys: np.ndarray, *,
     return unique, inverse
 
 
+def check_weights(weights: np.ndarray, kind: str = "stream") -> None:
+    """Raise ``ValueError`` unless every weight is finite and ``>= 0``.
+
+    NaN fails ``w >= 0`` and +inf fails ``w < inf``, so one pass covers
+    negative, NaN and infinite weights alike.
+    """
+    ok = (weights >= 0) & (weights < np.inf)
+    if not ok.all():
+        bad = float(weights[~ok][0])
+        raise ValueError(
+            f"{kind} weights must be finite and non-negative, got {bad}")
+
+
 def _flat_indices(rows: np.ndarray, cols: np.ndarray,
                   ncols: int) -> np.ndarray:
     return rows * np.int64(ncols) + cols
@@ -122,148 +119,39 @@ def _flat_indices(rows: np.ndarray, cols: np.ndarray,
 # -- pure-numpy kernel bodies -------------------------------------------------
 
 
-def _np_scatter_signed(matrix: np.ndarray, rows: np.ndarray,
-                       cols: np.ndarray, values: np.ndarray) -> None:
-    """Seeded scatter-add of (possibly negated) float64 values."""
-    n = rows.shape[0]
-    if n == 0:
-        return
-    flat_mat = matrix.reshape(-1)
-    size = flat_mat.shape[0]
-    flat = _flat_indices(rows, cols, matrix.shape[1])
-    if size <= 4 * n:
-        # Dense variant: seed every cell, one bincount over the whole
-        # table.  Untouched cells accumulate only their seed (0 + m = m).
-        flat_mat[:] = np.bincount(
-            np.concatenate([_arange(size), flat]),
-            weights=np.concatenate([flat_mat, values]),
-            minlength=size)
-    else:
-        # Compact variant for tables much larger than the batch: group
-        # by distinct cell first, seed only the touched cells.
-        cells, inverse = np.unique(flat, return_inverse=True)
-        k = cells.shape[0]
-        flat_mat[cells] = np.bincount(
-            np.concatenate([_arange(k), inverse]),
-            weights=np.concatenate([flat_mat[cells], values]),
-            minlength=k)
+def _flat_view(matrix: np.ndarray) -> np.ndarray:
+    """1-D view of ``matrix``; refuses to scatter into a silent copy.
 
-
-def _np_scatter_add(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                    values: Optional[np.ndarray]) -> None:
-    if rows.shape[0] == 0:
-        return
-    if values is None or (values.shape[0] and bool((values == 1.0).all())):
-        _np_scatter_count(matrix, rows, cols, negate=False)
-        return
-    _np_scatter_signed(matrix, rows, cols, values)
-
-
-def _np_scatter_sub(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                    values: Optional[np.ndarray]) -> None:
-    if rows.shape[0] == 0:
-        return
-    if values is None or (values.shape[0] and bool((values == 1.0).all())):
-        _np_scatter_count(matrix, rows, cols, negate=True)
-        return
-    _np_scatter_signed(matrix, rows, cols, np.negative(values))
-
-
-def _np_scatter_count(matrix: np.ndarray, rows: np.ndarray,
-                      cols: np.ndarray, negate: bool) -> None:
-    """Add (or subtract) 1 per element via an unweighted bincount.
-
-    ``m + k`` equals ``k`` repeated ``m += 1.0`` only while the cell
-    magnitude stays below 2**53; past that the seeded scatter (which
-    replays the additions one by one per cell) takes over so the result
-    stays bit-identical to the scalar loop.
+    ``reshape(-1)`` of a non-contiguous array is a copy, and updates to
+    it would be lost without a trace.
     """
-    n = rows.shape[0]
-    if n == 0:
-        return
-    flat_mat = matrix.reshape(-1)
-    size = flat_mat.shape[0]
-    flat = _flat_indices(rows, cols, matrix.shape[1])
-    if size <= 4 * n:
-        counts = np.bincount(flat, minlength=size)
-        touched_max = float(np.abs(flat_mat).max()) if size else 0.0
-        if touched_max + n < _EXACT_COUNT_LIMIT:
-            if negate:
-                flat_mat -= counts
-            else:
-                flat_mat += counts
-            return
+    if not matrix.flags.c_contiguous:
+        raise ValueError("scatter target must be C-contiguous; a "
+                         "flattened copy would drop the updates")
+    return matrix.reshape(-1)
+
+
+def _np_fold_extreme(fold: np.ufunc, flat: np.ndarray, idx: np.ndarray,
+                     values: np.ndarray,
+                     flat_touch: Optional[np.ndarray]) -> None:
+    """Fold ``values`` into ``flat[idx]`` with ``np.minimum``/``maximum``.
+
+    Cells not yet in ``flat_touch`` are seeded with a value landing on
+    them (the fold covers it again); ``flat_touch=None`` treats every
+    cell as already holding a value.  The reverse fold plus the re-fold
+    of prior values makes the earliest tied value win, as in the loop.
+    """
+    if flat_touch is None:
+        prior_cells = idx
     else:
-        cells, counts = np.unique(flat, return_counts=True)
-        current = flat_mat[cells]
-        if float(np.abs(current).max()) + n < _EXACT_COUNT_LIMIT:
-            if negate:
-                flat_mat[cells] = current - counts
-            else:
-                flat_mat[cells] = current + counts
-            return
-    ones = np.ones(n, dtype=np.float64)
-    _np_scatter_signed(matrix, rows, cols,
-                       np.negative(ones) if negate else ones)
-
-
-def _segment_starts(flat: np.ndarray,
-                    values: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray]:
-    """Sort by cell; return (cells, group starts, sorted values)."""
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    starts = np.flatnonzero(
-        np.concatenate([[True], sorted_flat[1:] != sorted_flat[:-1]]))
-    return sorted_flat[starts], starts, values[order]
-
-
-def _np_scatter_extreme(matrix: np.ndarray, touched: np.ndarray,
-                        rows: np.ndarray, cols: np.ndarray,
-                        values: np.ndarray, minimum: bool) -> None:
-    """Sort-based segment min/max folded into matrix + touched mask."""
-    if rows.shape[0] == 0:
-        return
-    flat = _flat_indices(rows, cols, matrix.shape[1])
-    cells, starts, sorted_values = _segment_starts(flat, values)
-    combine = np.minimum if minimum else np.maximum
-    extremes = combine.reduceat(sorted_values, starts)
-    flat_mat = matrix.reshape(-1)
-    flat_touch = touched.reshape(-1)
-    seen = flat_touch[cells]
-    current = flat_mat[cells]
-    flat_mat[cells] = np.where(seen, combine(current, extremes), extremes)
-    flat_touch[cells] = True
-
-
-def _np_scatter_floor(matrix: np.ndarray, rows: np.ndarray,
-                      cols: np.ndarray, floors: np.ndarray) -> None:
-    """Lift each targeted cell to the max floor landing on it."""
-    if rows.shape[0] == 0:
-        return
-    flat = _flat_indices(rows, cols, matrix.shape[1])
-    cells, starts, sorted_floors = _segment_starts(flat, floors)
-    group_max = np.maximum.reduceat(sorted_floors, starts)
-    flat_mat = matrix.reshape(-1)
-    flat_mat[cells] = np.maximum(flat_mat[cells], group_max)
-
-
-def _np_scatter_add_1d(table: np.ndarray, idx: np.ndarray,
-                       values: Optional[np.ndarray]) -> None:
-    """1-D seeded scatter-add (CountMin rows)."""
-    n = idx.shape[0]
-    if n == 0:
-        return
-    size = table.shape[0]
-    if values is None or bool((values == 1.0).all()):
-        counts = np.bincount(idx, minlength=size)
-        if float(np.abs(table).max()) + n < _EXACT_COUNT_LIMIT:
-            table += counts
-            return
-        values = np.ones(n, dtype=np.float64)
-    table[:] = np.bincount(
-        np.concatenate([_arange(size), idx]),
-        weights=np.concatenate([table, values]), minlength=size)
+        seen = flat_touch[idx]
+        prior_cells = idx[seen]
+        fresh = ~seen
+        flat[idx[fresh]] = values[fresh]
+        flat_touch[idx] = True
+    prior = flat[prior_cells]
+    fold.at(flat, idx[::-1], values[::-1])
+    fold.at(flat, prior_cells, prior)
 
 
 def _np_segment_cell_sums(rows: np.ndarray, cols: np.ndarray, ncols: int,
@@ -446,26 +334,35 @@ class KernelBackend:
 
 
 class NumpyKernels(KernelBackend):
-    """Buffered bincount scatter + sort-based segment reduction."""
+    """In-order ``ufunc.at`` scatter over flat cell indices."""
 
     name = "numpy"
     fused = False
 
     def scatter_add(self, matrix, rows, cols, values) -> None:
-        _np_scatter_add(matrix, rows, cols, values)
+        np.add.at(_flat_view(matrix),
+                  _flat_indices(rows, cols, matrix.shape[1]),
+                  1 if values is None else values)
 
     def scatter_sub(self, matrix, rows, cols, values) -> None:
-        _np_scatter_sub(matrix, rows, cols, values)
+        np.subtract.at(_flat_view(matrix),
+                       _flat_indices(rows, cols, matrix.shape[1]),
+                       1 if values is None else values)
 
     def scatter_extreme(self, matrix, touched, rows, cols, values,
                         minimum) -> None:
-        _np_scatter_extreme(matrix, touched, rows, cols, values, minimum)
+        _np_fold_extreme(np.minimum if minimum else np.maximum,
+                         _flat_view(matrix),
+                         _flat_indices(rows, cols, matrix.shape[1]),
+                         values, _flat_view(touched))
 
     def scatter_floor(self, matrix, rows, cols, floors) -> None:
-        _np_scatter_floor(matrix, rows, cols, floors)
+        _np_fold_extreme(np.maximum, _flat_view(matrix),
+                         _flat_indices(rows, cols, matrix.shape[1]),
+                         floors, None)
 
     def scatter_add_1d(self, table, idx, values) -> None:
-        _np_scatter_add_1d(table, idx, values)
+        np.add.at(table, idx, 1 if values is None else values)
 
 
 class NumbaKernels(KernelBackend):
@@ -486,7 +383,7 @@ class NumbaKernels(KernelBackend):
             return
         if values is None:
             values = np.ones(rows.shape[0], dtype=np.float64)
-        self._scatter_add(matrix.reshape(-1),
+        self._scatter_add(_flat_view(matrix),
                           _flat_indices(rows, cols, matrix.shape[1]), values)
 
     def scatter_sub(self, matrix, rows, cols, values) -> None:
@@ -494,21 +391,21 @@ class NumbaKernels(KernelBackend):
             return
         if values is None:
             values = np.ones(rows.shape[0], dtype=np.float64)
-        self._scatter_sub(matrix.reshape(-1),
+        self._scatter_sub(_flat_view(matrix),
                           _flat_indices(rows, cols, matrix.shape[1]), values)
 
     def scatter_extreme(self, matrix, touched, rows, cols, values,
                         minimum) -> None:
         if rows.shape[0] == 0:
             return
-        self._scatter_extreme(matrix.reshape(-1), touched.reshape(-1),
+        self._scatter_extreme(_flat_view(matrix), _flat_view(touched),
                               _flat_indices(rows, cols, matrix.shape[1]),
                               values, minimum)
 
     def scatter_floor(self, matrix, rows, cols, floors) -> None:
         if rows.shape[0] == 0:
             return
-        self._scatter_floor(matrix.reshape(-1),
+        self._scatter_floor(_flat_view(matrix),
                             _flat_indices(rows, cols, matrix.shape[1]),
                             floors)
 
@@ -525,9 +422,9 @@ class NumbaKernels(KernelBackend):
             return
         ra_hi, ra_lo, rb, rw = _hash_coefficients(row_hash)
         ca_hi, ca_lo, cb, cw = _hash_coefficients(col_hash)
-        flat_touch = (touched.reshape(-1) if touched is not None
+        flat_touch = (_flat_view(touched) if touched is not None
                       else _DUMMY_TOUCH)
-        self._fused(sketch_matrix.reshape(-1), flat_touch,
+        self._fused(_flat_view(sketch_matrix), flat_touch,
                     np.uint64(sketch_matrix.shape[1]),
                     ra_hi, ra_lo, rb, rw, ca_hi, ca_lo, cb, cw,
                     skeys, tkeys, values, op)

@@ -173,8 +173,9 @@ class SparseGraphSketch:
         self._col_adjacency.setdefault(c, set()).add(r)
 
     def update(self, source: Label, target: Label, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ValueError(f"stream weights must be non-negative, got {weight}")
+        if not 0 <= weight < np.inf:
+            raise ValueError(
+                f"stream weights must be finite and non-negative, got {weight}")
         r, c = self._buckets(source, target)
         self._epoch += 1
         self._apply(r, c, weight if self.aggregation is Aggregation.SUM else 1.0)
@@ -186,8 +187,9 @@ class SparseGraphSketch:
         if not self.aggregation.invertible:
             raise ValueError(
                 f"{self.aggregation.value} aggregation does not support deletion")
-        if weight < 0:
-            raise ValueError(f"removal weights must be non-negative, got {weight}")
+        if not 0 <= weight < np.inf:
+            raise ValueError(
+                f"removal weights must be finite and non-negative, got {weight}")
         r, c = self._buckets(source, target)
         self._epoch += 1
         self._apply(r, c, -(weight if self.aggregation is Aggregation.SUM
@@ -208,9 +210,7 @@ class SparseGraphSketch:
         source_keys = np.asarray(source_keys, dtype=np.uint64)
         target_keys = np.asarray(target_keys, dtype=np.uint64)
         weights = np.asarray(weights, dtype=float)
-        if weights.size and (weights < 0).any():
-            bad = float(weights[weights < 0][0])
-            raise ValueError(f"removal weights must be non-negative, got {bad}")
+        _kernels.check_weights(weights, "removal")
         if not self.directed:
             source_keys, target_keys = (np.minimum(source_keys, target_keys),
                                         np.maximum(source_keys, target_keys))
@@ -245,9 +245,7 @@ class SparseGraphSketch:
         source_keys = np.asarray(source_keys, dtype=np.uint64)
         target_keys = np.asarray(target_keys, dtype=np.uint64)
         weights = np.asarray(weights, dtype=float)
-        if weights.size and (weights < 0).any():
-            bad = float(weights[weights < 0][0])
-            raise ValueError(f"stream weights must be non-negative, got {bad}")
+        _kernels.check_weights(weights)
         if self._row_labels is not None and (source_labels is None
                                              or target_labels is None):
             raise ValueError(

@@ -379,8 +379,9 @@ class TCM:
         """
         if self.aggregation is not Aggregation.SUM:
             raise ValueError("conservative update requires sum aggregation")
-        if weight < 0:
-            raise ValueError(f"weights must be non-negative, got {weight}")
+        if not 0 <= weight < math.inf:
+            raise ValueError(
+                f"weights must be finite and non-negative, got {weight}")
         floor = self.edge_weight(source, target) + weight
         for sketch in self._sketches:
             sketch.raise_cell_to(source, target, floor)
@@ -425,10 +426,7 @@ class TCM:
             source_keys = label_keys([e.source for e in chunk])
             target_keys = label_keys([e.target for e in chunk])
             weights = np.array([e.weight for e in chunk])
-            if (weights < 0).any():
-                bad = float(weights[weights < 0][0])
-                raise ValueError(
-                    f"weights must be non-negative, got {bad}")
+            _kernels.check_weights(weights)
             if not self.directed:
                 source_keys, target_keys = (
                     np.minimum(source_keys, target_keys),
@@ -601,11 +599,8 @@ class TCM:
         ``weights is None`` means unit weights.  Callers have already
         checked the aggregation is invertible when ``insert=False``.
         """
-        if weights is not None and weights.size and (weights < 0).any():
-            bad = float(weights[weights < 0][0])
-            kind = "stream" if insert else "removal"
-            raise ValueError(
-                f"{kind} weights must be non-negative, got {bad}")
+        if weights is not None:
+            _kernels.check_weights(weights, "stream" if insert else "removal")
         if not self.directed:
             source_keys, target_keys = (np.minimum(source_keys, target_keys),
                                         np.maximum(source_keys, target_keys))

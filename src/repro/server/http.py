@@ -44,6 +44,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.kernels import check_weights
 from repro.hashing.labels import label_key, label_keys
 from repro.obs.instruments import OBS, REGISTRY
 from repro.server import wire
@@ -204,6 +205,23 @@ def _parse_floats(body: Dict, field: str, n: int,
         return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError):
         raise _HTTPError(400, f"'{field}' must be numeric")
+
+
+def _check_columns(weights: Optional[np.ndarray], timestamps: Any = None,
+                   kind: str = "stream") -> None:
+    """400 unless every weight is finite and >= 0 and every timestamp
+    finite.
+
+    Runs per request, before staging: a bad column must fail only its
+    own request, never the micro-batch it would join or the WAL.
+    """
+    if weights is not None:
+        try:
+            check_weights(weights, kind)
+        except ValueError as exc:
+            raise _HTTPError(400, f"bad 'weights': {exc}")
+    if timestamps is not None and not np.isfinite(timestamps).all():
+        raise _HTTPError(400, "'timestamps' must be finite numbers")
 
 
 class SketchServer:
@@ -660,6 +678,7 @@ class SketchServer:
                 default_ts = watermark if np.isfinite(watermark) else 0.0
                 timestamps = _parse_floats(body, "timestamps", n,
                                            default_ts)
+            _check_columns(weights, timestamps)
             try:
                 future = tenant.ingest.add(sources, targets, weights,
                                            timestamps)
@@ -677,6 +696,7 @@ class SketchServer:
                 raise _HTTPError(
                     400, f"got {n} sources but {len(targets)} targets")
             weights = _parse_floats(body, "weights", n, 1.0)
+            _check_columns(weights, kind="removal")
             removed = tenant.remove(sources, targets, weights)
             await self._durable(tenant)
             return 200, {"removed": int(removed)}, "application/json"
@@ -768,6 +788,7 @@ class SketchServer:
                     watermark = tenant.sketch.watermark
                     timestamps = (watermark if np.isfinite(watermark)
                                   else 0.0)
+            _check_columns(frame.weights, timestamps)
             try:
                 future = tenant.ingest.add(frame.sources, frame.targets,
                                            frame.weights, timestamps)
@@ -798,6 +819,7 @@ class SketchServer:
             return 200, {"kind": kind, "values": values}, \
                 "application/json"
         if action == "remove":
+            _check_columns(frame.weights, kind="removal")
             removed = tenant.remove(frame.sources, frame.targets,
                                     frame.weights)
             await self._durable(tenant)

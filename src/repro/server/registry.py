@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.aggregation import Aggregation
+from repro.core.kernels import check_weights
 from repro.obs.instruments import OBS
 from repro.server.coalescer import (
     DEFAULT_MAX_BATCH,
@@ -219,6 +220,7 @@ class TenantSketch:
             if len(wts) != n:
                 raise ValueError(
                     f"got {n} sources but {len(wts)} weights")
+            check_weights(wts, "removal")
             self.wal.append_remove(source_keys, target_keys, wts)
             return self.sketch.remove_many(source_keys, target_keys, wts)
         return self.sketch.remove_many(sources, targets, weights)

@@ -40,6 +40,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.aggregation import Aggregation
+from repro.core.kernels import check_weights
 from repro.hashing.labels import Label, label_keys
 from repro.obs.instruments import OBS
 from repro.streams.model import StreamEdge
@@ -274,6 +275,9 @@ class RotatingWindowTCM:
             if weights.shape[0] != n:
                 raise ValueError(
                     f"got {n} sources but {weights.shape[0]} weights")
+            # Checked before any bucket rotates: a bad column must not
+            # leave the window half-applied.
+            check_weights(weights)
         with self._lock:
             watermark = self._watermark
             if timestamps is None:
@@ -284,6 +288,10 @@ class RotatingWindowTCM:
                 if ts.shape[0] != n:
                     raise ValueError(
                         f"got {n} sources but {ts.shape[0]} timestamps")
+                if not np.isfinite(ts).all():
+                    raise ValueError(
+                        "timestamps must be finite, got "
+                        f"{float(ts[~np.isfinite(ts)][0])}")
                 if math.isfinite(watermark):
                     late = ts < watermark
                     if late.any():

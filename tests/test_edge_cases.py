@@ -187,3 +187,41 @@ class TestDriverParameterVariants:
                             lambda name, scale="small": GraphStream())
         with pytest.raises(ValueError, match="query graphs"):
             fig15_subgraph_vs_d("gtgraph", "tiny")
+
+
+class TestNonFiniteInputs:
+    """NaN and infinite weights fail like negative ones, on every bulk
+    entry point, before any cell changes."""
+
+    BAD = [float("nan"), float("inf"), -1.0]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_ingest_keys_and_remove_many_reject(self, bad):
+        tcm = TCM(d=2, width=16, seed=1)
+        keys = np.array([1, 2], dtype=np.uint64)
+        tcm.ingest_keys(keys, keys, np.array([3.0, 4.0]))
+        before = [s.matrix.copy() for s in tcm.sketches]
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            tcm.ingest_keys(keys, keys, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            tcm.remove_many([1, 2], [1, 2], np.array([bad, 1.0]))
+        for got, want in zip(tcm.sketches, before):
+            np.testing.assert_array_equal(got.matrix, want)
+        assert np.isfinite(tcm.total_weight_estimate())
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_scalar_update_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TCM(d=2, width=16, seed=1).update("a", "b", bad)
+
+    def test_window_rejects_bad_weights_and_timestamps(self):
+        from repro.streams.rotating import RotatingWindowTCM
+        window = RotatingWindowTCM(8.0, buckets=4, d=2, width=16, seed=1)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            window.observe_columns([1, 2], [3, 4], [1.0, float("nan")],
+                                   [0.0, 1.0])
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            window.observe_columns([1, 2], [3, 4], [1.0, 1.0],
+                                   [0.0, float("nan")])
+        assert window.observe_columns([1], [3], [2.0], [1.0]) == 1
+        assert window.watermark == 1.0

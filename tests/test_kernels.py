@@ -4,9 +4,10 @@
 identical* sketch state to the per-element scalar loop, for arbitrary
 float weights.  This suite checks that promise three ways:
 
-- primitive-level: each scatter kernel against the unbuffered
-  ``ufunc.at`` reference it replaced, including the dense/compact
-  bincount variants and the unit-count fast-path gate near 2**52;
+- primitive-level: each scatter kernel against ``ufunc.at`` references
+  and (hypothesis) against the per-element scalar loop, over float64,
+  float32 and int64 cells, duplicate-heavy indices, cells near 2**53,
+  signed-zero ties and empty batches;
 - model-level (hypothesis): chunked ``TCM.ingest_columns`` /
   ``remove_many`` against the scalar ``update`` / ``remove`` loop across
   aggregations, orientations and backends;
@@ -24,7 +25,6 @@ from repro.core import kernels
 from repro.core.aggregation import Aggregation
 from repro.core.kernels import (
     NumpyKernels,
-    _EXACT_COUNT_LIMIT,
     _hash_coefficients,
     _kb_fused_scatter,
     _kb_hash_key,
@@ -139,8 +139,8 @@ def random_batch(rng, n, shape, unit=False):
 
 
 @pytest.mark.parametrize("shape,n", [
-    ((4, 8), 500),        # dense variant: table smaller than 4n
-    ((64, 256), 100),     # compact variant: table much larger than batch
+    ((4, 8), 500),        # batch much larger than the table
+    ((64, 256), 100),     # table much larger than the batch
 ])
 class TestScatterAddSub:
     def test_add_matches_add_at(self, shape, n):
@@ -169,33 +169,6 @@ class TestScatterAddSub:
         np.add.at(expected, (rows, cols), values)
         NumpyKernels().scatter_add(actual, rows, cols, None)
         np.testing.assert_array_equal(actual, expected)
-
-
-class TestCountFastPathGate:
-    """Unit-count bincount is only exact below 2**53; check the gate."""
-
-    def test_near_limit_falls_back_to_seeded_path(self):
-        # A cell sitting just below the fast-path gate: integer addition
-        # is no longer guaranteed associative, so the kernel must replay
-        # the +1s per cell exactly like the scalar loop.
-        matrix = np.full((2, 2), _EXACT_COUNT_LIMIT - 1.5)
-        expected = matrix.copy()
-        rows = np.zeros(8, dtype=np.int64)
-        cols = np.zeros(8, dtype=np.int64)
-        for _ in range(8):
-            expected[0, 0] += 1.0
-        NumpyKernels().scatter_add(matrix, rows, cols, None)
-        np.testing.assert_array_equal(matrix, expected)
-
-    def test_far_from_limit_takes_fast_path_exactly(self):
-        matrix = np.zeros((3, 5))
-        rng = np.random.default_rng(4)
-        rows = rng.integers(0, 3, size=1000).astype(np.int64)
-        cols = rng.integers(0, 5, size=1000).astype(np.int64)
-        expected = matrix.copy()
-        np.add.at(expected, (rows, cols), 1.0)
-        NumpyKernels().scatter_add(matrix, rows, cols, None)
-        np.testing.assert_array_equal(matrix, expected)
 
 
 class TestScatterExtremeAndFloor:
@@ -275,6 +248,147 @@ class TestEmptyBatches:
         backend.scatter_add_1d(matrix[0], empty_i, empty_f)
         np.testing.assert_array_equal(matrix, np.ones((4, 4)))
         assert not touched.any()
+
+
+# -- hypothesis: each primitive == the per-element scalar loop ---------------
+
+#: Cell and weight values that make the fold order or a tie visible:
+#: signed zeros, magnitudes far apart, and cells around 2**52..2**53,
+#: where adding 1.0 starts to round.
+SPECIAL_VALUES = [0.0, -0.0, 1e-3, 1.0, 1e10, 2.0 ** 52 - 1.5,
+                  2.0 ** 53 - 2, 2.0 ** 53 - 1, 2.0 ** 53]
+
+KERNEL_DTYPES = [np.float64, np.float32, np.int64]
+
+kernel_settings = settings(max_examples=60, deadline=None)
+
+
+def values_of(dtype):
+    if dtype is np.int64:
+        return st.one_of(st.sampled_from([0, 1, 2 ** 53 - 1]),
+                         st.integers(-2 ** 53, 2 ** 53))
+    return st.one_of(st.sampled_from(SPECIAL_VALUES),
+                     st.floats(-1e12, 1e12, allow_nan=False))
+
+
+@st.composite
+def scatter_cases(draw):
+    """(matrix, rows, cols, values): a tiny table, so the index columns
+    are duplicate-heavy, and possibly an empty batch."""
+    dtype = draw(st.sampled_from(KERNEL_DTYPES))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    n = draw(st.integers(0, 40))
+    cells = draw(st.lists(values_of(dtype), min_size=shape[0] * shape[1],
+                          max_size=shape[0] * shape[1]))
+    matrix = np.array(cells, dtype=dtype).reshape(shape)
+    rows = np.array(draw(st.lists(st.integers(0, shape[0] - 1),
+                                  min_size=n, max_size=n)), dtype=np.int64)
+    cols = np.array(draw(st.lists(st.integers(0, shape[1] - 1),
+                                  min_size=n, max_size=n)), dtype=np.int64)
+    values = np.array(draw(st.lists(values_of(dtype), min_size=n,
+                                    max_size=n)), dtype=dtype)
+    return matrix, rows, cols, values
+
+
+def assert_bits_equal(actual, expected):
+    """Equal values *and* equal sign bits (catches -0.0 vs 0.0)."""
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestScatterMatchesScalarLoop:
+    """Every numpy kernel, element for element, against the loop the
+    scalar ``update``/``remove``/``raise_cell_to`` paths run."""
+
+    @kernel_settings
+    @given(scatter_cases(), st.booleans(), st.booleans())
+    def test_scatter_add_and_sub(self, case, unit, insert):
+        matrix, rows, cols, values = case
+        expected = matrix.copy()
+        for i, (r, c) in enumerate(zip(rows, cols)):
+            step = 1 if unit else values[i]
+            if insert:
+                expected[r, c] += step
+            else:
+                expected[r, c] -= step
+        kernel = (NumpyKernels().scatter_add if insert
+                  else NumpyKernels().scatter_sub)
+        kernel(matrix, rows, cols, None if unit else values)
+        assert_bits_equal(matrix, expected)
+
+    @kernel_settings
+    @given(scatter_cases(), st.data(), st.booleans())
+    def test_scatter_extreme(self, case, data, minimum):
+        matrix, rows, cols, values = case
+        touched = np.array(data.draw(st.lists(
+            st.booleans(), min_size=matrix.size, max_size=matrix.size)),
+            dtype=bool).reshape(matrix.shape)
+        exp_mat, exp_touch = matrix.copy(), touched.copy()
+        for r, c, v in zip(rows, cols, values):
+            if not exp_touch[r, c]:
+                exp_mat[r, c] = v
+                exp_touch[r, c] = True
+            elif (v < exp_mat[r, c]) if minimum else (v > exp_mat[r, c]):
+                exp_mat[r, c] = v
+        NumpyKernels().scatter_extreme(matrix, touched, rows, cols, values,
+                                       minimum)
+        assert_bits_equal(matrix, exp_mat)
+        np.testing.assert_array_equal(touched, exp_touch)
+
+    @kernel_settings
+    @given(scatter_cases())
+    def test_scatter_floor(self, case):
+        matrix, rows, cols, floors = case
+        expected = matrix.copy()
+        for r, c, f in zip(rows, cols, floors):
+            if expected[r, c] < f:
+                expected[r, c] = f
+        NumpyKernels().scatter_floor(matrix, rows, cols, floors)
+        assert_bits_equal(matrix, expected)
+
+    @kernel_settings
+    @given(scatter_cases(), st.booleans())
+    def test_scatter_add_1d(self, case, unit):
+        matrix, rows, cols, values = case
+        table = matrix.reshape(-1)
+        idx = rows * matrix.shape[1] + cols
+        expected = table.copy()
+        for i, j in enumerate(idx):
+            expected[j] += 1 if unit else values[i]
+        NumpyKernels().scatter_add_1d(table, idx, None if unit else values)
+        assert_bits_equal(table, expected)
+
+    def test_unit_counts_near_2_53_fold_in_order(self):
+        # Past 2**53 a float64 cell absorbs +1 by round-to-even, so the
+        # increments must be replayed one by one, exactly like += 1.0.
+        for start in (2.0 ** 52 - 1.5, 2.0 ** 53 - 1):
+            matrix = np.full((2, 2), start)
+            expected = matrix.copy()
+            for _ in range(8):
+                expected[0, 0] += 1.0
+            zeros = np.zeros(8, dtype=np.int64)
+            NumpyKernels().scatter_add(matrix, zeros, zeros, None)
+            assert_bits_equal(matrix, expected)
+
+    @pytest.mark.parametrize("minimum", [True, False])
+    def test_signed_zero_ties_keep_the_earliest(self, minimum):
+        backend = NumpyKernels()
+        matrix = np.array([[0.0, 0.0, 0.0]])
+        touched = np.array([[True, False, False]])
+        rows = np.zeros(5, dtype=np.int64)
+        cols = np.array([0, 1, 1, 2, 2])
+        values = np.array([-0.0, 0.0, -0.0, -0.0, 0.0])
+        backend.scatter_extreme(matrix, touched, rows, cols, values,
+                                minimum)
+        # The held 0.0 survives a -0.0 tie; fresh cells keep their
+        # first zero.
+        assert np.signbit(matrix[0]).tolist() == [False, False, True]
+
+    def test_non_contiguous_target_rejected(self):
+        matrix = np.zeros((4, 4))[:, ::2]
+        rows = cols = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            NumpyKernels().scatter_add(matrix, rows, cols, None)
 
 
 # -- hypothesis: kernel path == scalar path over whole models ----------------

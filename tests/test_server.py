@@ -23,6 +23,8 @@ from repro.server import (
     SketchRegistry,
     SketchServer,
 )
+from repro.server import wire
+from repro.server.durability import DurabilityManager
 from repro.server.loadgen import _request, run_loadgen
 
 
@@ -822,6 +824,138 @@ class TestLargeLabelColumns:
         for s, t in zip(sources, targets):
             tcm.update(s, t)
         for got, want in zip(served, _matrices(tcm)):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestPerRequestColumnValidation:
+    """A bad weight or timestamp column fails only its own request.
+
+    It is rejected with a 400 before staging, so it can neither fail
+    the micro-batch it would have joined nor reach the WAL.
+    """
+
+    CONFIG = {"d": 3, "width": 32, "seed": 5}
+    GOOD = ([1, 2, 3, 1], [4, 5, 6, 4], [1.0, 2.5, 4.0, 0.5])
+
+    @staticmethod
+    async def _send(conn, codec, action, tenant, sources, targets,
+                    weights, timestamps=None):
+        if codec == "json":
+            body = {"sources": sources, "targets": targets,
+                    "weights": weights}
+            if timestamps is not None:
+                body["timestamps"] = timestamps
+            raw, content_type = json.dumps(body).encode(), \
+                "application/json"
+        else:
+            ids = [np.asarray(c, dtype=np.uint64) for c in (sources,
+                                                             targets)]
+            wts = np.asarray(weights, dtype=np.float64)
+            raw = (wire.encode_ingest(tenant, *ids, wts, timestamps)
+                   if action == "ingest"
+                   else wire.encode_remove(tenant, *ids, wts))
+            content_type = wire.CONTENT_TYPE
+        status, payload = await _request(
+            *conn, "POST", f"/sketches/{tenant}/{action}", raw,
+            content_type=content_type)
+        return status, json.loads(payload)
+
+    @classmethod
+    def _oracle(cls, *batches):
+        tcm = TCM(**cls.CONFIG)
+        for sign, (sources, targets, weights) in batches:
+            keys = [np.asarray(c, dtype=np.uint64) for c in (sources,
+                                                             targets)]
+            if sign > 0:
+                tcm.ingest_keys(*keys, np.asarray(weights))
+            else:
+                tcm.remove_many(*keys, np.asarray(weights))
+        return _matrices(tcm)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_bad_weights_fail_alone_in_a_coalesced_batch(self, codec, bad):
+        async def scenario(client, server, port):
+            await client.call("PUT", "/sketches/t",
+                              dict(self.CONFIG, kind="tcm"))
+            conns = [await asyncio.open_connection("127.0.0.1", port)
+                     for _ in range(2)]
+            try:
+                (good_status, good), (bad_status, reply) = \
+                    await asyncio.gather(
+                        self._send(conns[0], codec, "ingest", "t",
+                                   *self.GOOD),
+                        self._send(conns[1], codec, "ingest", "t",
+                                   [7, 8], [9, 9], [1.0, bad]))
+            finally:
+                for _, writer in conns:
+                    writer.close()
+            assert bad_status == 400 and "'weights'" in reply["error"]
+            assert good_status == 200 and good["ingested"] == 4
+            tenant = server.registry.get("t")
+            tenant.drain()
+            assert tenant.ingest.flushes == 1
+            return _matrices(tenant.sketch)
+
+        # A 200 ms deadline: both requests land inside one batch window.
+        served = run_async(_with_server(scenario, max_delay=0.2))
+        for got, want in zip(served, self._oracle((1, self.GOOD))):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_non_finite_timestamp_is_400(self, codec):
+        async def scenario(client, server, port):
+            await client.call("PUT", "/sketches/w",
+                              dict(self.CONFIG, kind="window",
+                                   horizon=100.0, buckets=4))
+            conn = (client.reader, client.writer)
+            for ts in (float("nan"), float("inf")):
+                status, reply = await self._send(
+                    conn, codec, "ingest", "w", [1, 2], [3, 4], [1.0, 1.0],
+                    [5.0, ts])
+                assert status == 400 and "'timestamps'" in reply["error"]
+            status, _ = await self._send(conn, codec, "ingest", "w",
+                                         [1, 2], [3, 4], [1.0, 1.0],
+                                         [5.0, 6.0])
+            assert status == 200
+            tenant = server.registry.get("w")
+            tenant.drain()
+            return tenant.sketch.watermark
+
+        assert run_async(_with_server(scenario)) == 6.0
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_durable_bad_requests_never_reach_the_wal(self, codec,
+                                                      tmp_path):
+        removed = ([1, 3], [4, 6], [0.5, 1.0])
+
+        async def scenario(client, server, port):
+            await client.call("PUT", "/sketches/t",
+                              dict(self.CONFIG, kind="tcm"))
+            conn = (client.reader, client.writer)
+            status, _ = await self._send(conn, codec, "ingest", "t",
+                                         *self.GOOD)
+            assert status == 200
+            for action, weights in (("ingest", [float("nan"), 1.0]),
+                                    ("remove", [-1.0, 1.0]),
+                                    ("remove", [float("inf"), 1.0])):
+                status, reply = await self._send(conn, codec, action, "t",
+                                                 [1, 2], [4, 5], weights)
+                assert status == 400 and "'weights'" in reply["error"]
+            status, _ = await self._send(conn, codec, "remove", "t",
+                                         *removed)
+            assert status == 200
+
+        run_async(_with_server(scenario, data_dir=str(tmp_path),
+                               fsync="always"))
+        registry = SketchRegistry()
+        report = DurabilityManager(str(tmp_path), fsync="off").recover(
+            registry)
+        assert report["replay_errors"] == 0
+        assert report["records"] == 2
+        recovered = _matrices(registry.get("t").sketch)
+        for got, want in zip(recovered,
+                             self._oracle((1, self.GOOD), (-1, removed))):
             np.testing.assert_array_equal(got, want)
 
 
