@@ -39,6 +39,18 @@ def _scatter_backend(matrix: np.ndarray) -> "_kernels.KernelBackend":
     return _kernels.get_backend("numpy")
 
 
+def key_cells(sketch, source_keys: np.ndarray,
+              target_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column buckets of a batch of key pairs, in label-canonical
+    orientation (smaller key first) when the sketch is undirected, as
+    ``_buckets`` does for one pair."""
+    if not sketch.directed:
+        source_keys, target_keys = (np.minimum(source_keys, target_keys),
+                                    np.maximum(source_keys, target_keys))
+    return (sketch._row_hash.hash_many(source_keys),
+            sketch._col_hash.hash_many(target_keys))
+
+
 class GraphSketch:
     """One hashed adjacency matrix over bucketed nodes.
 
@@ -272,12 +284,8 @@ class GraphSketch:
         _kernels.check_weights(weights, "removal")
         if len(source_keys) == 0:
             return
-        if not self.directed:
-            source_keys, target_keys = (np.minimum(source_keys, target_keys),
-                                        np.maximum(source_keys, target_keys))
         self._epoch += 1
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
+        rows, cols = key_cells(self, source_keys, target_keys)
         self._scatter(rows, cols,
                       weights if self.aggregation is Aggregation.SUM else None,
                       insert=False)
@@ -317,14 +325,10 @@ class GraphSketch:
                                      self._row_hash, self._row_labels)
             self._record_labels_bulk(target_keys, target_labels,
                                      self._col_hash, self._col_labels)
-        if not self.directed:
-            # Label-canonical orientation, matching _buckets().  Applied
-            # after label bookkeeping, which uses the original orientation.
-            source_keys, target_keys = (np.minimum(source_keys, target_keys),
-                                        np.maximum(source_keys, target_keys))
+        # key_cells canonicalizes undirected pairs only now, after the
+        # label bookkeeping, which uses the original orientation.
         self._epoch += 1
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
+        rows, cols = key_cells(self, source_keys, target_keys)
         self._scatter(rows, cols,
                       weights if self.aggregation is not Aggregation.COUNT
                       else None,
@@ -417,11 +421,7 @@ class GraphSketch:
             raise ValueError("conservative update requires sum aggregation")
         source_keys = np.asarray(source_keys, dtype=np.uint64)
         target_keys = np.asarray(target_keys, dtype=np.uint64)
-        if not self.directed:
-            source_keys, target_keys = (np.minimum(source_keys, target_keys),
-                                        np.maximum(source_keys, target_keys))
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
+        rows, cols = key_cells(self, source_keys, target_keys)
         self._epoch += 1
         floors = np.asarray(floors, dtype=self._matrix.dtype)
         _scatter_backend(self._matrix).scatter_floor(self._matrix, rows,
@@ -444,11 +444,7 @@ class GraphSketch:
         """
         source_keys = np.asarray(source_keys, dtype=np.uint64)
         target_keys = np.asarray(target_keys, dtype=np.uint64)
-        if not self.directed:
-            source_keys, target_keys = (np.minimum(source_keys, target_keys),
-                                        np.maximum(source_keys, target_keys))
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
+        rows, cols = key_cells(self, source_keys, target_keys)
         return self._matrix[rows, cols].astype(np.float64)
 
     def out_flow(self, source: Label) -> float:

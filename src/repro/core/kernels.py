@@ -334,7 +334,11 @@ class KernelBackend:
 
 
 class NumpyKernels(KernelBackend):
-    """In-order ``ufunc.at`` scatter over flat cell indices."""
+    """In-order ``ufunc.at`` scatter over flat cell indices.
+
+    Unit weights (``values=None``) are a one of the target's dtype: a
+    Python ``1`` sends ``ufunc.at`` down its generic path, ~30x slower.
+    """
 
     name = "numpy"
     fused = False
@@ -342,12 +346,12 @@ class NumpyKernels(KernelBackend):
     def scatter_add(self, matrix, rows, cols, values) -> None:
         np.add.at(_flat_view(matrix),
                   _flat_indices(rows, cols, matrix.shape[1]),
-                  1 if values is None else values)
+                  matrix.dtype.type(1) if values is None else values)
 
     def scatter_sub(self, matrix, rows, cols, values) -> None:
         np.subtract.at(_flat_view(matrix),
                        _flat_indices(rows, cols, matrix.shape[1]),
-                       1 if values is None else values)
+                       matrix.dtype.type(1) if values is None else values)
 
     def scatter_extreme(self, matrix, touched, rows, cols, values,
                         minimum) -> None:
@@ -362,7 +366,8 @@ class NumpyKernels(KernelBackend):
                          floors, None)
 
     def scatter_add_1d(self, table, idx, values) -> None:
-        np.add.at(table, idx, 1 if values is None else values)
+        np.add.at(table, idx,
+                  table.dtype.type(1) if values is None else values)
 
 
 class NumbaKernels(KernelBackend):

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core import kernels as _kernels
 from repro.core.aggregation import Aggregation
+from repro.core.graph_sketch import key_cells
 from repro.hashing.family import PairwiseHash
 from repro.hashing.labels import Label, label_to_int
 
@@ -211,11 +212,7 @@ class SparseGraphSketch:
         target_keys = np.asarray(target_keys, dtype=np.uint64)
         weights = np.asarray(weights, dtype=float)
         _kernels.check_weights(weights, "removal")
-        if not self.directed:
-            source_keys, target_keys = (np.minimum(source_keys, target_keys),
-                                        np.maximum(source_keys, target_keys))
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
+        rows, cols = key_cells(self, source_keys, target_keys)
         if len(rows) == 0:
             return
         self._epoch += 1
@@ -257,11 +254,7 @@ class SparseGraphSketch:
                                             self._row_hash, self._row_labels)
             GraphSketch._record_labels_bulk(target_keys, target_labels,
                                             self._col_hash, self._col_labels)
-        if not self.directed:
-            source_keys, target_keys = (np.minimum(source_keys, target_keys),
-                                        np.maximum(source_keys, target_keys))
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
+        rows, cols = key_cells(self, source_keys, target_keys)
         if len(rows) == 0:
             return
         self._epoch += 1
@@ -312,11 +305,7 @@ class SparseGraphSketch:
             raise ValueError("conservative update requires sum aggregation")
         source_keys = np.asarray(source_keys, dtype=np.uint64)
         target_keys = np.asarray(target_keys, dtype=np.uint64)
-        if not self.directed:
-            source_keys, target_keys = (np.minimum(source_keys, target_keys),
-                                        np.maximum(source_keys, target_keys))
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
+        rows, cols = key_cells(self, source_keys, target_keys)
         self._epoch += 1
         cells = self._cells
         for r, c, floor in zip(rows.tolist(), cols.tolist(),
@@ -334,11 +323,7 @@ class SparseGraphSketch:
                        target_keys: np.ndarray) -> np.ndarray:
         source_keys = np.asarray(source_keys, dtype=np.uint64)
         target_keys = np.asarray(target_keys, dtype=np.uint64)
-        if not self.directed:
-            source_keys, target_keys = (np.minimum(source_keys, target_keys),
-                                        np.maximum(source_keys, target_keys))
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
+        rows, cols = key_cells(self, source_keys, target_keys)
         return np.array([self._cells.get((r, c), 0.0)
                          for r, c in zip(rows.tolist(), cols.tolist())])
 

@@ -16,6 +16,7 @@ vectorized implementation in uint64 numpy arrays via limb splitting.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple
@@ -29,45 +30,28 @@ MERSENNE_PRIME_61 = (1 << 61) - 1
 _P = np.uint64(MERSENNE_PRIME_61)
 _LIMB_BITS = np.uint64(31)
 _LIMB_MASK = np.uint64((1 << 31) - 1)
+_THIRTY = np.uint64(30)
+_SIXTY_ONE = np.uint64(61)
+_M30 = np.uint64((1 << 30) - 1)
+
+#: Largest work buffer (in uint64 words) a thread keeps between
+#: :func:`hash_many_bulk` calls: 8 MiB, enough for the library's default
+#: 65536-key chunk at d <= 4.  Bigger calls take per-call temporaries.
+_SCRATCH_MAX_WORDS = 1 << 20
+
+_scratch = threading.local()
 
 
-def _mod_mersenne(x: "np.ndarray") -> "np.ndarray":
-    """Reduce uint64 values (< 2^64) modulo ``2^61 - 1`` without overflow."""
-    y = (x & _P) + (x >> np.uint64(61))
-    return np.where(y >= _P, y - _P, y)
-
-
-def _mulmod_mersenne(a_hi: int, a_lo: int, k: "np.ndarray") -> "np.ndarray":
-    """Compute ``a * k mod (2^61-1)`` with ``a = a_hi*2^31 + a_lo`` and
-    ``k`` an array of values in ``[0, 2^61)``.
-
-    All four partial products fit in uint64:
-    ``a_hi < 2^30``, ``a_lo < 2^31``, ``k_hi < 2^30``, ``k_lo < 2^31``.
-    Uses ``2^61 === 1`` and ``2^62 === 2 (mod p)`` to fold the high limbs.
-    """
-    k_hi = k >> _LIMB_BITS            # < 2^30
-    k_lo = k & _LIMB_MASK             # < 2^31
-    hi = np.uint64(a_hi)
-    lo = np.uint64(a_lo)
-
-    # a*k = a_hi*k_hi*2^62 + (a_hi*k_lo + a_lo*k_hi)*2^31 + a_lo*k_lo
-    top = _mod_mersenne(hi * k_hi)                       # (a_hi*k_hi) mod p
-    top = _mod_mersenne(top + top)                       # * 2^62 === * 2
-    mid = _mod_mersenne(hi * k_lo + lo * k_hi)           # < 2^62, fits
-    mid = _shl31_mod_mersenne(mid)                       # * 2^31
-    bot = _mod_mersenne(lo * k_lo)                       # < 2^62, fits
-    return _mod_mersenne(top + mid + bot)
-
-
-def _shl31_mod_mersenne(y: "np.ndarray") -> "np.ndarray":
-    """Compute ``(y << 31) mod (2^61-1)`` for ``y`` in ``[0, 2^61)``.
-
-    ``y*2^31 = y_hi*2^61 + y_lo*2^31 === y_hi + y_lo*2^31 (mod p)`` where
-    ``y = y_hi*2^30 + y_lo`` and ``y_lo*2^31 < 2^61`` fits exactly.
-    """
-    y_hi = y >> np.uint64(30)
-    y_lo = y & np.uint64((1 << 30) - 1)
-    return _mod_mersenne((y_lo << _LIMB_BITS) + y_hi)
+def _scratch_words(words: int) -> "np.ndarray":
+    """A flat uint64 work buffer of at least ``words`` words: grow-only
+    up to ``_SCRATCH_MAX_WORDS``, and per thread because ``ShardedTCM``
+    hashes its shards concurrently."""
+    if words > _SCRATCH_MAX_WORDS:
+        return np.empty(words, dtype=np.uint64)
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < words:
+        buf = _scratch.buf = np.empty(words, dtype=np.uint64)
+    return buf
 
 
 @dataclass(frozen=True)
@@ -102,46 +86,10 @@ class PairwiseHash:
     def hash_many(self, keys: "np.ndarray") -> "np.ndarray":
         """Vectorized bucketing of an array of non-negative integer keys.
 
-        Equivalent to ``np.array([self.hash_int(k) for k in keys])`` but
-        runs entirely in uint64 numpy arithmetic.  Uses *lazy* Mersenne
-        reduction: intermediates are kept merely ``< 2^63`` (congruent
-        mod p, not canonical) so the whole ``(a*k + b) mod p`` needs one
-        canonicalizing pass at the end instead of one per partial
-        product -- about half the vector ops of the naive chain, and no
-        intermediate ``np.where``.  Bucket-for-bucket identical to the
-        scalar :meth:`hash_int`.
+        Equivalent to ``np.array([self.hash_int(k) for k in keys])``;
+        runs the one-function case of :func:`hash_many_bulk`.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        # Nearly-reduce the key: k < 2^61 + 8, congruent to keys mod p.
-        k = (keys & _P) + (keys >> np.uint64(61))
-        k_hi = k >> _LIMB_BITS            # < 2^30 + 1
-        k_lo = k & _LIMB_MASK             # < 2^31
-        a_hi = np.uint64(self.a >> 31)    # < 2^30
-        a_lo = np.uint64(self.a & ((1 << 31) - 1))
-        # a*k = a_hi*k_hi*2^62 + (a_hi*k_lo + a_lo*k_hi)*2^31 + a_lo*k_lo
-        # 2^61 === 1 (mod p), so *2^62 === *2: top < 2^61, no reduction.
-        top = (a_hi * k_hi) << np.uint64(1)
-        # mid*2^31 = m_hi*2^61 + m_lo*2^31 === m_hi + m_lo*2^31 with
-        # mid = m_hi*2^30 + m_lo; the fold stays < 2^61 + 2^32.
-        mid = a_hi * k_lo + a_lo * k_hi   # < 2^62, fits
-        mid = (mid >> np.uint64(30)) + \
-            ((mid & np.uint64((1 << 30) - 1)) << _LIMB_BITS)
-        # bot < 2^62: one lazy fold brings it under 2^61 + 2.
-        bot = a_lo * k_lo
-        bot = (bot & _P) + (bot >> np.uint64(61))
-        # top + mid + bot + b < 2^63: safe to sum, then canonicalize.
-        total = top + mid + bot + np.uint64(self.b)
-        total = (total & _P) + (total >> np.uint64(61))  # < 2^61 + 4
-        np.subtract(total, _P, out=total, where=total >= _P)
-        width = self.width
-        if width & (width - 1) == 0:
-            # Power-of-two width: mod == mask, and uint64 masking is an
-            # order of magnitude cheaper than numpy's scalar-division mod.
-            total &= np.uint64(width - 1)
-            # Buckets are < width < 2^63, so the int64 reinterpretation
-            # is value-preserving and skips an astype copy.
-            return total.view(np.int64)
-        return (total % np.uint64(width)).view(np.int64)
+        return hash_many_bulk((self,), keys)[0]
 
 
 @lru_cache(maxsize=128)
@@ -158,74 +106,82 @@ def _bulk_coefficients(funcs: Tuple["PairwiseHash", ...]):
     b = np.array([f.b for f in funcs], dtype=np.uint64).reshape(d, 1)
     widths = np.array([f.width for f in funcs],
                       dtype=np.uint64).reshape(d, 1)
-    a_hi = a >> _LIMB_BITS
-    a_lo = a & _LIMB_MASK
+    a_hi = a >> _LIMB_BITS                # < 2^30
+    a_lo = a & _LIMB_MASK                 # < 2^31
     mask = None
     if bool(np.all(widths & (widths - np.uint64(1)) == 0)):
         mask = widths - np.uint64(1)
-    return a_hi, a_lo, b, widths, mask
-
-
-_ONE = np.uint64(1)
-_THIRTY = np.uint64(30)
-_SIXTY_ONE = np.uint64(61)
-_M30 = np.uint64((1 << 30) - 1)
+    return a_hi + a_hi, a_hi, a_lo, b, widths, mask
 
 
 def hash_many_bulk(funcs: Sequence["PairwiseHash"],
                    keys: "np.ndarray") -> "np.ndarray":
     """Bucket one key column through several hash functions at once.
 
-    Returns an ``(len(funcs), len(keys))`` int64 array where row ``i``
-    equals ``funcs[i].hash_many(keys)`` exactly.  Stacking the
-    ``(a, b, width)`` coefficients as ``(d, 1)`` columns and
-    broadcasting against the ``(n,)`` keys runs the whole ensemble in
-    one pass instead of ``d`` separate passes -- numpy dispatch
-    overhead is paid once, which is most of the cost at sketch-sized
-    batches.  The partial products accumulate in-place into three
-    ``(d, n)`` scratch buffers (the naive chain allocates ~16), and
-    all-power-of-two ensembles take a mask instead of the slow uint64
-    ``%``.  Same lazy Mersenne reduction as
-    :meth:`PairwiseHash.hash_many`; the arithmetic is elementwise
-    identical, so the buckets are bit-identical.
+    Returns a freshly allocated ``(len(funcs), len(keys))`` int64 array
+    whose row ``i`` equals ``[funcs[i].hash_int(int(k)) for k in keys]``
+    bit for bit; the library's only vectorized Carter-Wegman pass.  The
+    ``(a, b, width)`` coefficients broadcast as ``(d, 1)`` columns
+    against the ``(n,)`` keys, so numpy dispatch is paid once per
+    ensemble.  Mersenne reduction is lazy -- partial products stay
+    congruent mod ``p = 2^61 - 1`` and below ``2^64`` (bounds inline),
+    with one fold and one branch-free canonicalization at the end: 18
+    vector ops per function and key.  The key limbs and the two
+    ``(d, n)`` intermediates live in a per-thread scratch buffer;
+    allocating them per call made a service flush map, zero-fill and
+    unmap fresh pages (60-140 minor faults per 4096-edge flush).
+    All-power-of-two ensembles take a mask instead of the slow ``%``.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     if not funcs:
         raise ValueError("hash_many_bulk needs at least one function")
-    a_hi, a_lo, b, widths, mask = _bulk_coefficients(tuple(funcs))
-    k = (keys & _P) + (keys >> _SIXTY_ONE)
-    k_hi = k >> _LIMB_BITS
-    k_lo = k & _LIMB_MASK
-    # acc <- top = (a_hi*k_hi) * 2   (2^62 === 2 mod p, stays < 2^61)
-    acc = a_hi * k_hi
-    acc <<= _ONE
-    # mid = a_hi*k_lo + a_lo*k_hi, folded by *2^31 === (>>30) + (&m30)<<31
-    mid = a_hi * k_lo
-    scratch = a_lo * k_hi
+    a2_hi, a_hi, a_lo, b, widths, mask = _bulk_coefficients(tuple(funcs))
+    d, n = a_hi.shape[0], keys.shape[0]
+    buf = _scratch_words((2 + 2 * d) * n)
+    k_hi, k_lo = buf[:2 * n].reshape(2, n)
+    mid = buf[2 * n:(2 + d) * n].reshape(d, n)
+    scratch = buf[(2 + d) * n:(2 + 2 * d) * n].reshape(d, n)
+    # Nearly reduce the key, k = (keys & p) + (keys >> 61) <= 2^61 + 6
+    # (congruent mod p), and split it: k_hi = k >> 31 <= 2^30,
+    # k_lo < 2^31.
+    np.right_shift(keys, _SIXTY_ONE, out=k_hi)
+    np.bitwise_and(keys, _P, out=k_lo)
+    k_lo += k_hi
+    np.right_shift(k_lo, _LIMB_BITS, out=k_hi)
+    k_lo &= _LIMB_MASK
+    # a*k = a_hi*k_hi*2^62 + (a_hi*k_lo + a_lo*k_hi)*2^31 + a_lo*k_lo.
+    # top: 2^62 === 2 (mod p), so top = (2*a_hi)*k_hi < 2^61.
+    acc = np.multiply(a2_hi, k_hi)
+    # mid = a_hi*k_lo + a_lo*k_hi < 2^61 + 2^61; with
+    # mid = m_hi*2^30 + m_lo, mid*2^31 === m_hi + m_lo*2^31 < 2^61 + 2^32.
+    np.multiply(a_hi, k_lo, out=mid)
+    np.multiply(a_lo, k_hi, out=scratch)
     mid += scratch
     np.right_shift(mid, _THIRTY, out=scratch)
     mid &= _M30
     mid <<= _LIMB_BITS
     mid += scratch
     acc += mid
-    # bot = a_lo*k_lo < 2^62: one lazy fold brings it under 2^61 + 2
+    # bot = a_lo*k_lo < 2^62 goes in unfolded, and b < 2^61:
+    # top + mid + bot + b < 5*2^61 + 2^33 < 2^64.
     np.multiply(a_lo, k_lo, out=mid)
-    np.right_shift(mid, _SIXTY_ONE, out=scratch)
-    mid &= _P
-    mid += scratch
     acc += mid
     acc += b
-    # canonicalize: acc < 2^63, two folds + one conditional subtract
+    # One fold: (acc & p) + (acc >> 61) <= (2^61 - 1) + 5 < 2^61 + 5.
     np.right_shift(acc, _SIXTY_ONE, out=scratch)
     acc &= _P
     acc += scratch
-    np.subtract(acc, _P, out=acc, where=acc >= _P)
+    # Canonicalize: acc - p wraps to >= 2^64 - p > acc when acc < p,
+    # so the minimum is acc mod p either way.
+    np.subtract(acc, _P, out=scratch)
+    np.minimum(acc, scratch, out=acc)
     if mask is not None:
         acc &= mask
-        # Buckets are < width < 2^63, so the int64 reinterpretation is
-        # value-preserving and skips an astype copy.
-        return acc.view(np.int64)
-    return (acc % widths).view(np.int64)
+    else:
+        np.remainder(acc, widths, out=acc)
+    # Buckets are < width < 2^63, so the int64 reinterpretation is
+    # value-preserving and skips an astype copy.
+    return acc.view(np.int64)
 
 
 class HashFamily:

@@ -171,12 +171,17 @@ class Instruments:
         # -- runtime telemetry (repro.obs.runtime) -------------------------
         self.process_rss_bytes = registry.gauge(
             "process_rss_bytes",
-            "Resident set size of this process at the last runtime sample")
+            "Resident set size of this process at the last runtime sample "
+            "or /metrics, /stats scrape")
         self.process_gc_collections = registry.counter(
             "process_gc_collections_total",
             "Garbage collections observed since sampling started, "
             "labeled by generation",
             labelnames=("generation",))
+        self.process_minor_page_faults = registry.counter(
+            "process_minor_page_faults_total",
+            "Minor page faults of this process (getrusage ru_minflt) as "
+            "of the last runtime sample or /metrics, /stats scrape")
         self.query_engine_cache_bytes = registry.gauge(
             "query_engine_cache_bytes",
             "Bytes held by a TCM's lazily built query-engine index caches "

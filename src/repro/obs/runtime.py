@@ -13,6 +13,10 @@ runtime signals next to the accuracy gauges:
 - **GC pressure** -- collection counts per generation, differenced into
   the ``process_gc_collections_total`` counter.  A hot loop that churns
   temporaries shows up here before it shows up in latency.
+- **Page faults** -- ``ru_minflt`` from ``getrusage``, exported as the
+  ``process_minor_page_faults_total`` counter.  A hot path that maps
+  and zero-fills fresh pages per batch (large per-call temporaries)
+  shows up here as a fault rate in the tens of thousands per second.
 - **Latency quantiles** -- p50/p99 readouts computed from the log-bucket
   :class:`~repro.obs.metrics.Histogram` families already populated by the
   instrumented query/ingest paths; :func:`latency_quantiles` is the
@@ -24,6 +28,7 @@ from __future__ import annotations
 import gc
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -35,6 +40,8 @@ __all__ = [
     "RuntimeSampler",
     "RuntimeSample",
     "latency_quantiles",
+    "minor_faults",
+    "process_snapshot",
     "rss_bytes",
     "rss_slope",
 ]
@@ -65,6 +72,41 @@ def rss_bytes() -> int:
         return int(usage.ru_maxrss) * scale
     except Exception:
         return 0
+
+
+def minor_faults() -> int:
+    """Minor page faults this process has taken (``ru_minflt``); 0 where
+    ``resource`` is unavailable."""
+    try:
+        import resource
+        return int(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    except (ImportError, OSError):
+        return 0
+
+
+def process_snapshot() -> Dict[str, int]:
+    """Read RSS and minor faults now and export them.
+
+    Called when ``/metrics`` or ``/stats`` is scraped -- never on a hot
+    path -- so the process gauges are current even without a running
+    :class:`RuntimeSampler`.
+    """
+    point = {"rss_bytes": rss_bytes(), "minor_page_faults": minor_faults()}
+    OBS.process_rss_bytes.set(point["rss_bytes"])
+    _export_faults(point["minor_page_faults"])
+    return point
+
+
+_FAULTS_LOCK = threading.Lock()
+
+
+def _export_faults(total: int) -> None:
+    # The counter mirrors the process total, whatever reset it last.  A
+    # scrape and the sampler thread may export at once.
+    with _FAULTS_LOCK:
+        counter = OBS.process_minor_page_faults
+        if total > counter.value:
+            counter.inc(total - counter.value)
 
 
 def rss_slope(times: List[float], rss: List[int]) -> float:
@@ -121,11 +163,13 @@ class RuntimeSample:
     rss_bytes: int
     gc_collections: tuple   #: cumulative per-generation collection counts
     label_cache_bytes: int
+    minor_faults: int       #: cumulative minor page faults of the process
 
     def to_dict(self) -> Dict[str, Any]:
         return {"elapsed": self.elapsed, "rss_bytes": self.rss_bytes,
                 "gc_collections": list(self.gc_collections),
-                "label_cache_bytes": self.label_cache_bytes}
+                "label_cache_bytes": self.label_cache_bytes,
+                "minor_faults": self.minor_faults}
 
 
 class RuntimeSampler:
@@ -135,8 +179,8 @@ class RuntimeSampler:
     deterministic mode the benchmark uses) or as a daemon thread
     (``start(interval)`` / ``stop()``) behind a long-running server.
     Either way every sample updates the ``process_rss_bytes`` /
-    ``process_gc_collections_total`` / ``label_cache_bytes`` instruments
-    when observability is enabled.
+    ``process_gc_collections_total`` / ``process_minor_page_faults_total``
+    / ``label_cache_bytes`` instruments when observability is enabled.
     """
 
     def __init__(self, max_samples: int = 4096):
@@ -165,7 +209,8 @@ class RuntimeSampler:
             rss_bytes=rss_bytes(),
             gc_collections=tuple(c - b for c, b
                                  in zip(gc_now, self._gc_base)),
-            label_cache_bytes=cache_bytes)
+            label_cache_bytes=cache_bytes,
+            minor_faults=minor_faults())
         self.samples.append(point)
         if len(self.samples) > self.max_samples:
             # Decimate (keep every other sample) instead of sliding, so
@@ -174,6 +219,7 @@ class RuntimeSampler:
         if OBS.enabled:
             OBS.process_rss_bytes.set(point.rss_bytes)
             OBS.label_cache_bytes.set(cache_bytes)
+            _export_faults(point.minor_faults)
             for gen, (current, last) in enumerate(zip(gc_now, self._last_gc)):
                 if current > last:
                     OBS.process_gc_collections.labels(str(gen)).inc(
@@ -185,7 +231,6 @@ class RuntimeSampler:
 
     def start(self, interval: float = 1.0) -> None:
         """Start a daemon sampling thread; idempotent."""
-        import threading
         if self._thread is not None and self._thread.is_alive():
             return
         if interval <= 0:

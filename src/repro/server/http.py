@@ -11,7 +11,8 @@ Endpoints (docs/SERVER.md, docs/API.md):
 - ``GET /healthz`` -- liveness.
 - ``GET /metrics`` -- Prometheus text exposition of the process registry.
 - ``GET /stats`` -- JSON: per-endpoint latency quantiles (via
-  :func:`repro.obs.runtime.latency_quantiles`) plus per-sketch info.
+  :func:`repro.obs.runtime.latency_quantiles`), per-sketch info and the
+  process's RSS and minor page faults.
 - ``GET /sketches`` | ``PUT/GET/DELETE /sketches/{name}`` -- registry.
 - ``POST /sketches/{name}/ingest`` -- ``{sources, targets, weights?,
   timestamps?}``; acknowledged when its micro-batch lands.
@@ -551,12 +552,15 @@ class SketchServer:
             return 200, payload, "application/json"
         if path == "/metrics" and method == "GET":
             from repro.obs.export import render_prometheus
+            from repro.obs.runtime import process_snapshot
+            process_snapshot()
             return 200, render_prometheus(REGISTRY), \
                 "text/plain; version=0.0.4"
         if path == "/stats" and method == "GET":
-            from repro.obs.runtime import latency_quantiles
+            from repro.obs.runtime import latency_quantiles, process_snapshot
             return 200, {"latency": latency_quantiles(REGISTRY),
-                         "sketches": self.registry.infos()}, \
+                         "sketches": self.registry.infos(),
+                         "process": process_snapshot()}, \
                 "application/json"
         if parts and parts[0] == "cluster" and self.shard is not None:
             return await self._cluster_route(method, parts)
@@ -598,7 +602,9 @@ class SketchServer:
                 "sketches": self.registry.names(),
             }, "application/json"
         if len(parts) == 2 and parts[1] == "metrics" and method == "GET":
+            from repro.obs.runtime import process_snapshot
             from repro.server.sharding import aggregate_metrics
+            process_snapshot()
             text = await aggregate_metrics(
                 self.shard.host, self.shard.ports, local=self.shard.index,
                 local_registry=REGISTRY)

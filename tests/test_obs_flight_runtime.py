@@ -126,6 +126,9 @@ class TestRuntimeSampler:
         assert point.rss_bytes > 0
         assert point.elapsed >= 0.0
         assert len(point.gc_collections) == 3
+        assert point.minor_faults > 0
+        assert sampler.sample().minor_faults >= point.minor_faults
+        assert point.to_dict()["minor_faults"] == point.minor_faults
 
     def test_slope_fit_on_synthetic_series(self):
         assert rss_slope([0.0, 1.0, 2.0], [100, 200, 300]) == \

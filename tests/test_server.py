@@ -444,6 +444,37 @@ class TestServerHTTP:
         finally:
             instruments.disable()
 
+    def test_process_faults_and_rss_are_scraped_non_decreasing(self):
+        def sample(text, name):
+            for line in text.splitlines():
+                if line.startswith(name + " "):
+                    return float(line.split()[1])
+            raise AssertionError(f"{name} missing from /metrics")
+
+        async def scenario(client, server, port):
+            await client.call("PUT", "/sketches/a",
+                              {"d": 2, "width": 32, "seed": 1})
+            faults = []
+            for i in range(3):
+                status, body = await client.call("GET", "/stats")
+                assert status == 200
+                assert body["process"]["rss_bytes"] > 0
+                faults.append(body["process"]["minor_page_faults"])
+                status, payload = await _request(
+                    client.reader, client.writer, "GET", "/metrics", b"")
+                assert status == 200
+                text = payload.decode()
+                assert sample(text, "process_rss_bytes") > 0
+                faults.append(sample(text,
+                                     "process_minor_page_faults_total"))
+                await client.call("POST", "/sketches/a/ingest",
+                                  {"sources": list(range(5000)),
+                                   "targets": list(range(5000))})
+            assert faults[0] > 0
+            assert faults == sorted(faults)
+
+        run_async(_with_server(scenario))
+
     def test_unbatched_server_answers_identically(self):
         async def scenario(client, server, port):
             await client.call("PUT", "/sketches/a",
